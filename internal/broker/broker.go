@@ -673,13 +673,6 @@ func (b *Broker) MergedBrokers() subid.Mask {
 	return b.mergedBrokers.Clone()
 }
 
-// MergedBrokersShared returns the Merged_Brokers set of the published
-// match snapshot without taking b.mu or cloning — the routing hot path's
-// read. Read-only: callers must not mutate the mask.
-func (b *Broker) MergedBrokersShared() subid.Mask {
-	return b.matchSnapshot().brokers
-}
-
 // ChooseTarget picks the Algorithm 2 send target among the broker's
 // neighbors: degree ≥ the broker's own, not yet communicated with,
 // preferring the smallest *strictly higher* degree and falling back to an
@@ -775,6 +768,11 @@ func (b *Broker) AcquireMatcher() MatchLease {
 // MergedBrokers returns the Merged_Brokers set of the leased generation.
 // Read-only: callers must not mutate the mask.
 func (l MatchLease) MergedBrokers() subid.Mask { return l.snap.brokers }
+
+// MatchKeys matches one event and returns its matched id keys
+// (ascending; decompose with subid.KeyParts). The slice is matcher
+// scratch, valid until the next call or Release.
+func (l MatchLease) MatchKeys(ev *schema.Event) []uint64 { return l.m.MatchKeys(ev) }
 
 // MatchBatch matches events and returns per-event matched id keys
 // (ascending; decompose with subid.KeyParts). Results are matcher

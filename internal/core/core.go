@@ -622,34 +622,41 @@ func (net *Network) handleEvent(node topology.NodeID, m netsim.Message) {
 }
 
 // routeEvent runs one Algorithm 3 hop for a single decoded event. The
-// read side is lock-free: matching runs against the broker's published
-// snapshot and the Merged_Brokers set is the snapshot's own (no lock, no
-// clone).
+// read side is lock-free: matching runs on a matcher leased from the
+// broker's published snapshot, and the Merged_Brokers set is that
+// snapshot's own (no lock, no clone).
 func (net *Network) routeEvent(node topology.NodeID, ev *schema.Event, brocli, delivered subid.Mask, traceID uint64) {
 	b := net.brokers[node]
 	n := len(net.brokers)
 	// Step 1: match the local merged summary.
-	matched := b.MatchMerged(ev)
+	lease := b.AcquireMatcher()
+	defer lease.Release()
+	start := time.Now()
+	keys := lease.MatchKeys(ev)
+	b.MatchSeconds(time.Since(start).Seconds())
 	// Step 2: update BROCLIe.
-	orMask(&brocli, b.MergedBrokersShared())
+	orMask(&brocli, lease.MergedBrokers())
 	// Step 3: send the event to newly matched owners. The wire payload is
 	// identical for every owner, so encode it once into a pooled shared
 	// buffer and multicast it — the bus refcounts the bytes per recipient.
 	var deliverBuf *netsim.SharedBuf
-	for _, id := range matched {
-		owner := topology.NodeID(id.Broker)
+	for _, key := range keys {
+		c1, _ := subid.KeyParts(key)
+		owner := topology.NodeID(c1)
 		if delivered.Has(int(owner)) {
 			continue
 		}
 		delivered.Set(int(owner))
 		if owner == node {
-			hits := b.DeliverExact(ev)
+			// The matched keys are this snapshot's candidates: exact-match
+			// them directly rather than running Algorithm 1 again.
+			hits := b.DeliverExactCandidates(ev, keys)
 			if traceID != 0 {
 				decision := DecisionDelivered
 				if hits == 0 {
 					decision = DecisionFalsePositive
 				}
-				net.tracer.hop(traceID, node, decision, len(matched), 0)
+				net.tracer.hop(traceID, node, decision, len(keys), 0)
 			}
 			continue
 		}
@@ -670,11 +677,11 @@ func (net *Network) routeEvent(node topology.NodeID, ev *schema.Event, brocli, d
 	if brocli.Count() == n {
 		net.obs.eventsSuppressed.Inc()
 		if traceID != 0 {
-			net.tracer.hop(traceID, node, DecisionSuppressed, len(matched), 0)
+			net.tracer.hop(traceID, node, DecisionSuppressed, len(keys), 0)
 		}
 		return
 	}
-	net.forwardEvent(node, ev, brocli, delivered, traceID, len(matched))
+	net.forwardEvent(node, ev, brocli, delivered, traceID, len(keys))
 }
 
 // forwardEvent sends the event to the first unvisited broker in

@@ -573,18 +573,32 @@ func (s *Set) Merge(o *Set) {
 }
 
 // Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	out := NewSet(s.mode)
-	out.rows = make([]row, len(s.rows))
-	for i, r := range s.rows {
-		out.rows[i] = row{iv: r.iv, ids: append([]uint64(nil), r.ids...)}
+func (s *Set) Clone() *Set { return s.CloneMapped(slices.Clone[[]uint64]) }
+
+// CloneMapped returns a copy of the set in which every id list is
+// replaced by remap's rewrite of it; rows and entries whose rewrite is
+// empty are dropped. remap must keep each list sorted and deduplicated,
+// and the copy takes ownership of what it returns. The summary layer
+// compiles match snapshots through it, rewriting id keys to dense
+// registry indexes in the same pass that copies the rows. Dropping a
+// sub-range row cannot expose a Lossy equality value: those never lie
+// inside a sub-range.
+func (s *Set) CloneMapped(remap func(ids []uint64) []uint64) *Set {
+	out := &Set{mode: s.mode, rows: make([]row, 0, len(s.rows)), eq: make(map[float64][]uint64, len(s.eq))}
+	for _, r := range s.rows {
+		if ids := remap(r.ids); len(ids) > 0 {
+			out.rows = append(out.rows, row{iv: r.iv, ids: ids})
+		}
 	}
 	for v, ids := range s.eq {
-		out.eq[v] = append([]uint64(nil), ids...)
+		if ids = remap(ids); len(ids) > 0 {
+			out.eq[v] = ids
+		}
 	}
-	out.ne = make([]neEntry, len(s.ne))
-	for i, e := range s.ne {
-		out.ne[i] = neEntry{value: e.value, ids: append([]uint64(nil), e.ids...)}
+	for _, e := range s.ne {
+		if ids := remap(e.ids); len(ids) > 0 {
+			out.ne = append(out.ne, neEntry{value: e.value, ids: ids})
+		}
 	}
 	return out
 }

@@ -495,17 +495,34 @@ func (s *Set) Merge(o *Set) {
 }
 
 // Clone returns a deep copy.
-func (s *Set) Clone() *Set {
-	out := NewSet()
-	out.pats = make([]Row, len(s.pats))
-	for i, r := range s.pats {
-		out.pats[i] = Row{Pattern: r.Pattern, IDs: append([]uint64(nil), r.IDs...)}
+func (s *Set) Clone() *Set { return s.CloneMapped(slices.Clone[[]uint64]) }
+
+// CloneMapped returns a copy of the set in which every id list is
+// replaced by remap's rewrite of it; rows and entries whose rewrite is
+// empty are dropped. remap must keep each list sorted and deduplicated,
+// and the copy takes ownership of what it returns. The summary layer
+// compiles match snapshots through it, rewriting id keys to dense
+// registry indexes in the same pass that copies the rows.
+func (s *Set) CloneMapped(remap func(ids []uint64) []uint64) *Set {
+	out := &Set{
+		pats: make([]Row, 0, len(s.pats)),
+		eq:   make(map[string][]uint64, len(s.eq)),
+		ne:   make(map[string][]uint64, len(s.ne)),
+	}
+	for _, r := range s.pats {
+		if ids := remap(r.IDs); len(ids) > 0 {
+			out.pats = append(out.pats, Row{Pattern: r.Pattern, IDs: ids})
+		}
 	}
 	for text, ids := range s.eq {
-		out.eq[text] = append([]uint64(nil), ids...)
+		if ids = remap(ids); len(ids) > 0 {
+			out.eq[text] = ids
+		}
 	}
 	for text, ids := range s.ne {
-		out.ne[text] = append([]uint64(nil), ids...)
+		if ids = remap(ids); len(ids) > 0 {
+			out.ne[text] = ids
+		}
 	}
 	return out
 }

@@ -9,27 +9,41 @@ import (
 	"github.com/subsum/subsum/internal/subid"
 )
 
-// Matcher runs Algorithm 1 against one Summary with zero steady-state
-// allocations. It replaces Summary.MatchKeysWithCost's per-event counter
-// maps with dense scratch arrays keyed by the summary's id registry index,
-// and collects per-attribute id lists through the structures' append-style
-// fast paths (interval.Set.AppendMatches, strmatch.Set.AppendMatches)
-// instead of map sinks.
+// Matcher runs Algorithm 1 against a compiled Snapshot with zero
+// steady-state allocations. It replaces Summary.MatchKeysWithCost's
+// per-event counter maps with dense scratch arrays indexed by the
+// snapshot's registry, and collects per-attribute id lists through the
+// structures' append-style fast paths (interval.Set.AppendMatches,
+// strmatch.Set.AppendMatches) instead of map sinks. The snapshot's rows
+// already hold dense indexes, so the inner loop reads each collected
+// id's counter slot straight from the row.
 //
-// A Matcher must not be used concurrently with itself or with mutations of
-// its summary, but any number of matchers may match concurrently against
-// the same summary (see MatcherPool). The summary should satisfy Validate:
-// ids referenced by rows but absent from the registry — possible only in
-// hand-built or corrupt summaries — are counted by the map-based path's
-// CollectedIDs/UniqueIDs yet skipped here.
+// A matcher over a Snapshot (ShardByKey, NewShardedMatcher — the
+// broker's published read path) sees the summary as it was when the
+// snapshot was compiled. A matcher built from a Summary (NewMatcher,
+// NewMatcherPool) follows that summary instead: the first match after a
+// mutation recompiles, a per-event check outside Algorithm 1's loops.
+// Ids that rows reference but the registry does not — tombstoned ids, or
+// those of hand-built or corrupt summaries — are dropped at compile time,
+// and Summary.MatchKeysWithCost skips them too, so keys and costs agree.
+//
+// A Matcher must not be used concurrently with itself or with mutations
+// of its summary, but any number of matchers may match concurrently
+// against the same snapshot (see MatcherPool).
 type Matcher struct {
-	sm *Summary
+	snap *Snapshot
+
+	// src, when set, is the summary snap was compiled from, at src's
+	// mutation count gen.
+	src *Summary
+	gen uint64
 
 	// token is a monotonically increasing epoch: one tick per event plus
 	// one per event attribute with matches. mark[i] records the token at
 	// which dense id i was last counted, so "already counted for this
 	// attribute" is mark[i] == attrToken and "first sighting this event"
-	// is mark[i] < eventToken — no clearing between events.
+	// is mark[i] < eventToken — no clearing between events. Both are
+	// sized to the snapshot's registry when it is bound.
 	token   uint64
 	mark    []uint64
 	count   []int32
@@ -56,13 +70,35 @@ type MatcherObs struct {
 // event, preserving the matcher's zero-allocation hot path.
 func (m *Matcher) SetObs(obs *MatcherObs) { m.obs = obs }
 
-// NewMatcher returns a Matcher bound to sm.
-func (sm *Summary) NewMatcher() *Matcher {
-	return &Matcher{sm: sm}
+// NewMatcher compiles sm and returns a Matcher over the result that
+// recompiles whenever sm has been mutated since.
+func (sm *Summary) NewMatcher() *Matcher { return sm.trackingMatcher(sm.ShardByKey(1)[0], sm.gen) }
+
+// trackingMatcher returns a matcher over snap, compiled from sm at
+// mutation count gen, that follows sm's later mutations.
+func (sm *Summary) trackingMatcher(snap *Snapshot, gen uint64) *Matcher {
+	m := snap.newMatcher()
+	m.src, m.gen = sm, gen
+	return m
 }
 
-// Summary returns the summary the matcher is bound to.
-func (m *Matcher) Summary() *Summary { return m.sm }
+// newMatcher returns a Matcher over s.
+func (s *Snapshot) newMatcher() *Matcher {
+	m := &Matcher{}
+	m.bind(s)
+	return m
+}
+
+// bind points the matcher at s, growing the dense scratch to s's
+// registry. Fresh slots are zero and every older mark is below the next
+// event's token, so nothing needs clearing.
+func (m *Matcher) bind(s *Snapshot) {
+	m.snap = s
+	if n := len(s.keys); len(m.mark) < n {
+		m.mark = append(m.mark, make([]uint64, n-len(m.mark))...)
+		m.count = append(m.count, make([]int32, n-len(m.count))...)
+	}
+}
 
 // Match is Summary.Match run through the matcher's reusable scratch. The
 // returned ids are freshly allocated and owned by the caller.
@@ -70,7 +106,7 @@ func (m *Matcher) Match(e *schema.Event) []subid.ID {
 	keys := m.MatchKeys(e)
 	out := make([]subid.ID, len(keys))
 	for i, key := range keys {
-		out[i] = m.sm.idFromKey(key)
+		out[i] = m.snap.idFromKey(key)
 	}
 	return out
 }
@@ -86,13 +122,11 @@ func (m *Matcher) MatchKeys(e *schema.Event) []uint64 {
 // Keys and cost are identical to Summary.MatchKeysWithCost's, without the
 // per-event map allocations.
 func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
-	sm := m.sm
-	if n := len(sm.keys); len(m.mark) < n {
-		// The registry grew (or this is the first event): extend the dense
-		// scratch. Fresh slots are zero, which every token treats as stale.
-		m.mark = append(m.mark, make([]uint64, n-len(m.mark))...)
-		m.count = append(m.count, make([]int32, n-len(m.count))...)
+	if m.src != nil && m.src.gen != m.gen {
+		m.bind(m.src.ShardByKey(1)[0])
+		m.gen = m.src.gen
 	}
+	sm := m.snap
 	var cost MatchCost
 	m.token++
 	eventToken := m.token
@@ -113,17 +147,13 @@ func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
 		}
 		m.token++
 		attrToken := m.token
-		for _, key := range m.buf {
-			idx, ok := sm.ids[key]
-			if !ok {
-				continue // unregistered id; see the type comment
-			}
+		for _, idx := range m.buf {
 			if m.mark[idx] == attrToken {
 				continue // already counted for this attribute
 			}
 			if m.mark[idx] < eventToken {
 				m.count[idx] = 0
-				m.touched = append(m.touched, idx)
+				m.touched = append(m.touched, int32(idx))
 			}
 			m.mark[idx] = attrToken
 			m.count[idx]++
@@ -161,10 +191,13 @@ type MatcherPool struct {
 	pool sync.Pool
 }
 
-// NewMatcherPool returns a pool whose matchers are bound to sm.
+// NewMatcherPool compiles sm once and returns a pool whose matchers all
+// share that snapshot until sm is mutated (each then recompiles, as
+// NewMatcher's does).
 func NewMatcherPool(sm *Summary) *MatcherPool {
+	snap, gen := sm.ShardByKey(1)[0], sm.gen
 	p := &MatcherPool{}
-	p.pool.New = func() any { return sm.NewMatcher() }
+	p.pool.New = func() any { return sm.trackingMatcher(snap, gen) }
 	return p
 }
 

@@ -5,11 +5,39 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
+	"github.com/subsum/subsum/internal/strmatch"
 	"github.com/subsum/subsum/internal/subid"
 )
 
-// ShardByKey partitions the summary into n disjoint sub-summaries by
+// Snapshot is a compiled, immutable copy of a summary — or of one
+// key-range shard of it — in the form Algorithm 1 runs on. Its registry
+// is renumbered in ascending key order and every AACS/SACS row id-list
+// holds dense registry indexes instead of id keys, so a matcher reads an
+// id's counter slot straight from the row with no hash lookup. Index
+// order is key order, so every list stays strictly ascending. Build one
+// with Summary.ShardByKey; Summary.NewMatcher and NewMatcherPool compile
+// one internally.
+type Snapshot struct {
+	aacs    map[schema.AttrID]*interval.Set // row id-lists hold dense indexes
+	sacs    map[schema.AttrID]*strmatch.Set
+	keys    []uint64     // ascending: keys[i] is dense index i's id key
+	masks   []subid.Mask // read-only, shared with the source summary
+	targets []int32      // masks[i].Count(), the c3 match target
+}
+
+// NumSubscriptions returns the number of subscription ids compiled in.
+func (s *Snapshot) NumSubscriptions() int { return len(s.keys) }
+
+// idFromKey reconstructs the full id of a compiled key.
+func (s *Snapshot) idFromKey(key uint64) subid.ID {
+	broker, local := subid.KeyParts(key)
+	i, _ := slices.BinarySearch(s.keys, key)
+	return subid.ID{Broker: broker, Local: local, Attrs: s.masks[i]}
+}
+
+// ShardByKey compiles the summary into n snapshots partitioned by
 // contiguous ascending id-key range, so one event can be matched across
 // cores without shared scratch. Every registered id lands in exactly one
 // shard; shard s covers a key range strictly below shard s+1's, which is
@@ -17,62 +45,104 @@ import (
 // globally sorted — byte-identical to the unsharded matcher's output at
 // any shard count (the determinism rule).
 //
-// The returned summaries are deep copies: the receiver can keep mutating
-// while matchers run against the shards. n is clamped to [1, number of
-// ids] so no shard is empty (an empty summary still gets one shard).
-func (sm *Summary) ShardByKey(n int) []*Summary {
-	sm.purgeDead()
-	if n < 1 {
-		n = 1
-	}
-	if n > len(sm.keys) {
-		n = max(1, len(sm.keys))
-	}
-	if n == 1 {
-		return []*Summary{sm.Clone()}
-	}
-	sorted := append([]uint64(nil), sm.keys...)
+// The snapshots are copies: the receiver can keep mutating while
+// matchers run against them. n is clamped to [1, number of ids] so no
+// shard is empty (an empty summary still gets one shard).
+func (sm *Summary) ShardByKey(n int) []*Snapshot {
+	n = min(max(n, 1), max(1, len(sm.keys)))
+	sorted := slices.Clone(sm.keys)
 	slices.Sort(sorted)
-	out := make([]*Summary, n)
-	for s := 0; s < n; s++ {
-		lo := s * len(sorted) / n
-		hi := (s + 1) * len(sorted) / n
-		keep := make(map[uint64]struct{}, hi-lo)
-		for _, k := range sorted[lo:hi] {
-			keep[k] = struct{}{}
-		}
-		out[s] = sm.cloneFiltered(keep)
+	out := make([]*Snapshot, n)
+	for s := range out {
+		out[s] = sm.compile(sorted[s*len(sorted)/n : (s+1)*len(sorted)/n])
 	}
 	return out
 }
 
-// cloneFiltered deep-copies the summary restricted to the keys in keep.
-// Rows of excluded ids are swept with the same batched RemoveAll used by
-// the tombstone purge, so a shard never over-counts a kept id.
-func (sm *Summary) cloneFiltered(keep map[uint64]struct{}) *Summary {
-	dead := make(map[uint64]struct{}, len(sm.keys)-len(keep))
-	for _, k := range sm.keys {
-		if _, ok := keep[k]; !ok {
-			dead[k] = struct{}{}
-		}
+// compileSlabChunk is the size, in ids, of the slabs a compiled
+// snapshot's id lists are carved from.
+const compileSlabChunk = 4096
+
+// compile copies the summary restricted to reg, a contiguous range of its
+// sorted registry keys, into a Snapshot. It is one pass: each row id-list
+// is written into the copy directly as the positions of its ids in reg,
+// carved from shared slabs rather than allocated per row. Ids outside reg
+// — other shards' ids, tombstoned ids, ids rows reference but the
+// registry never held — are dropped on the way, so no tombstone purge is
+// needed first, and rows left without ids are dropped with them.
+func (sm *Summary) compile(reg []uint64) *Snapshot {
+	c := &Snapshot{
+		aacs:    make(map[schema.AttrID]*interval.Set, len(sm.aacs)),
+		sacs:    make(map[schema.AttrID]*strmatch.Set, len(sm.sacs)),
+		keys:    reg,
+		masks:   make([]subid.Mask, len(reg)),
+		targets: make([]int32, len(reg)),
 	}
-	c := New(sm.schema, sm.mode)
+	for i, key := range reg {
+		j := sm.ids[key]
+		c.masks[i], c.targets[i] = sm.masks[j], sm.targets[j]
+	}
+	if len(reg) == 0 {
+		return c
+	}
+	var slab []uint64
+	rank := func(ids []uint64) []uint64 {
+		// Only ids inside reg's key range can be written.
+		lo, _ := slices.BinarySearch(ids, reg[0])
+		hi, found := slices.BinarySearch(ids, reg[len(reg)-1])
+		if found {
+			hi++
+		}
+		ids = ids[lo:hi]
+		if cap(slab)-len(slab) < len(ids) {
+			slab = make([]uint64, 0, max(compileSlabChunk, len(ids)))
+		}
+		start := len(slab)
+		slab = appendRanks(slab, ids, reg)
+		return slab[start:len(slab):len(slab)]
+	}
 	for a, s := range sm.aacs {
-		cs := s.Clone()
-		cs.RemoveAll(dead)
-		c.aacs[a] = cs
+		c.aacs[a] = s.CloneMapped(rank)
 	}
 	for a, s := range sm.sacs {
-		cs := s.Clone()
-		cs.RemoveAll(dead)
-		c.sacs[a] = cs
-	}
-	for i, k := range sm.keys {
-		if _, ok := keep[k]; ok {
-			c.registerID(k, sm.masks[i].Clone())
-		}
+		c.sacs[a] = s.CloneMapped(rank)
 	}
 	return c
+}
+
+// appendRanks appends to dst the position in reg of every key of ids
+// that reg holds, skipping the others. Both lists ascend, so each search
+// resumes where the previous one stopped and gallops forward: an id of a
+// dense row costs a comparison or two, one of a sparse row a short
+// binary search.
+func appendRanks(dst, ids, reg []uint64) []uint64 {
+	j := 0
+	for _, k := range ids {
+		lo, hi, step := j, j, 1
+		for hi < len(reg) && reg[hi] < k {
+			lo = hi + 1
+			hi += step
+			step <<= 1
+		}
+		hi = min(hi, len(reg))
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if reg[m] < k {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if lo == len(reg) {
+			break
+		}
+		if reg[lo] == k {
+			dst = append(dst, uint64(lo))
+			lo++
+		}
+		j = lo
+	}
+	return dst
 }
 
 // ShardedMatcher runs Algorithm 1 against a key-range partition of one
@@ -82,7 +152,7 @@ func (sm *Summary) cloneFiltered(keep map[uint64]struct{}) *Summary {
 // ShardedMatcher must not be used concurrently with itself; use a
 // ShardedMatcherPool to share one partition among goroutines.
 type ShardedMatcher struct {
-	shards   []*Summary
+	shards   []*Snapshot
 	matchers []*Matcher
 
 	out []uint64 // single-event concatenation scratch
@@ -108,14 +178,14 @@ type shardBatch struct {
 // NewShardedMatcher returns a matcher over the given key-range partition.
 // The shards must be disjoint and ascending by key range (what ShardByKey
 // produces); the matcher does not re-verify this.
-func NewShardedMatcher(shards []*Summary) *ShardedMatcher {
+func NewShardedMatcher(shards []*Snapshot) *ShardedMatcher {
 	m := &ShardedMatcher{
 		shards:   shards,
 		matchers: make([]*Matcher, len(shards)),
 		perShard: make([]shardBatch, len(shards)),
 	}
 	for i, s := range shards {
-		m.matchers[i] = s.NewMatcher()
+		m.matchers[i] = s.newMatcher()
 	}
 	return m
 }
@@ -172,13 +242,12 @@ func (m *ShardedMatcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost
 }
 
 // Match is MatchKeys returning full subscription ids (freshly allocated,
-// caller-owned), with each key's c3 mask recovered from its shard's
-// registry.
+// caller-owned), with each key's c3 mask recovered from its shard.
 func (m *ShardedMatcher) Match(e *schema.Event) []subid.ID {
 	m.MatchKeys(e)
 	out := make([]subid.ID, 0, len(m.out))
-	// Re-walk per shard so each key resolves against the registry that
-	// holds its mask.
+	// Re-walk per shard so each key resolves against the shard holding
+	// its mask.
 	for i, sm := range m.matchers {
 		for _, key := range sm.out {
 			out = append(out, m.shards[i].idFromKey(key))
@@ -281,7 +350,7 @@ type ShardedMatcherPool struct {
 }
 
 // NewShardedMatcherPool returns a pool over the given partition.
-func NewShardedMatcherPool(shards []*Summary) *ShardedMatcherPool {
+func NewShardedMatcherPool(shards []*Snapshot) *ShardedMatcherPool {
 	p := &ShardedMatcherPool{}
 	p.pool.New = func() any {
 		m := NewShardedMatcher(shards)

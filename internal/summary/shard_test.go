@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -175,5 +176,49 @@ func TestShardByKeyEdgeCases(t *testing.T) {
 	shards = three.ShardByKey(8)
 	if len(shards) != 3 {
 		t.Fatalf("3-id summary sharded to %d shards, want clamp to 3", len(shards))
+	}
+}
+
+// rebuildFixture builds the merged summary a CW24 broker holds under the
+// Table 2 mix: 24 brokers × 100 subscriptions, each broker's summary
+// wire-encoded and folded in with MergeEncoded as Algorithm 2 does.
+func rebuildFixture(b *testing.B) *Summary {
+	b.Helper()
+	gen, err := workload.NewGenerator(workload.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	merged := New(gen.Schema(), interval.Lossy)
+	for br := 0; br < 24; br++ {
+		own := New(gen.Schema(), interval.Lossy)
+		for l := 0; l < 100; l++ {
+			id := subid.ID{Broker: subid.BrokerID(br), Local: subid.LocalID(l)}
+			if err := own.Insert(id, gen.Subscription()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := merged.MergeEncoded(own.Encode(nil)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return merged
+}
+
+// snapshotSink keeps the benchmarked rebuild from being optimized away.
+var snapshotSink []*Snapshot
+
+// BenchmarkMatchSnapshotRebuild times the broker's match-snapshot
+// rebuild — ShardByKey over a 2,400-subscription merged summary — which
+// runs under the broker lock on the first match after every merge,
+// subscribe or retraction.
+func BenchmarkMatchSnapshotRebuild(b *testing.B) {
+	sm := rebuildFixture(b)
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				snapshotSink = sm.ShardByKey(n)
+			}
+		})
 	}
 }

@@ -34,9 +34,10 @@ type Summary struct {
 	sacs   map[schema.AttrID]*strmatch.Set
 
 	// Subscription-id registry. ids maps an id key (c1‖c2) to a dense
-	// index into the parallel keys/masks/targets slices; Matcher keys its
-	// epoch-stamped counters by that dense index, so Algorithm 1's step 2
-	// runs over plain slices instead of a per-event hash map.
+	// index into the parallel keys/masks/targets slices. It serves
+	// insert, remove, merge, Contains and maskOf on this mutable summary;
+	// matching runs on a compiled Snapshot (ShardByKey), which renumbers
+	// the registry by key and needs no map.
 	ids     map[uint64]int32
 	keys    []uint64
 	masks   []subid.Mask
@@ -53,12 +54,18 @@ type Summary struct {
 	// dead is the tombstone set: keys removed from the registry whose rows
 	// may still linger in the per-attribute structures. RemoveKey
 	// tombstones instead of sweeping so an unsubscribe is O(1) — the old
-	// per-removal sweep made n removals O(n²). Matching filters dead ids
-	// through the registry for free; every row-reading operation (Compact,
-	// Merge, Clone, encode, Stats, Validate) purges first, and Insert
-	// purges when a tombstoned key is re-registered so stale rows can
-	// never over-count a reused id past its c3 target.
+	// per-removal sweep made n removals O(n²). Matching and snapshot
+	// compilation (ShardByKey) filter dead ids through the registry for
+	// free; every other row-reading operation (Compact, Merge, Clone,
+	// encode, Stats, Validate) purges first, and Insert purges when a
+	// tombstoned key is re-registered so stale rows can never over-count
+	// a reused id past its c3 target.
 	dead map[uint64]struct{}
+
+	// gen counts the mutations that can change match results (Insert,
+	// RemoveKey, Merge, MergeEncoded). A Matcher built from the summary
+	// recompiles its snapshot when gen has moved since it last compiled.
+	gen uint64
 }
 
 // New returns an empty summary over the given schema. mode selects the
@@ -125,6 +132,7 @@ func (sm *Summary) Insert(id subid.ID, sub *schema.Subscription) error {
 	if _, dup := sm.ids[key]; dup {
 		return fmt.Errorf("summary: duplicate subscription id %v", id)
 	}
+	sm.gen++
 	if _, tomb := sm.dead[key]; tomb {
 		// The key is being reused before its old rows were purged: sweep
 		// now, or the stale rows would count extra attributes against the
@@ -252,6 +260,7 @@ func (sm *Summary) RemoveKey(key uint64) {
 	if !ok {
 		return
 	}
+	sm.gen++
 	// Swap-delete from the dense registry: the last key takes the vacated
 	// index so the slices stay dense.
 	last := int32(len(sm.keys) - 1)
@@ -381,20 +390,25 @@ func (sm *Summary) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
 		clear(perAttr)
 		if f.Value.Arithmetic() {
 			if s, ok := sm.aacs[f.Attr]; ok {
-				cost.CollectedIDs += s.QueryInto(f.Value.Num, perAttr)
+				s.QueryInto(f.Value.Num, perAttr)
 			}
 		} else if s, ok := sm.sacs[f.Attr]; ok {
-			cost.CollectedIDs += s.MatchInto(f.Value.Str, perAttr)
+			s.MatchInto(f.Value.Str, perAttr)
 		}
 		for key := range perAttr {
-			counters[key]++
+			// Ids the registry does not hold (tombstoned rows awaiting a
+			// purge, corrupt rows) are not subscriptions: skip, uncounted.
+			if _, ok := sm.ids[key]; ok {
+				counters[key]++
+				cost.CollectedIDs++
+			}
 		}
 	}
 	// Step 2: keep ids whose counter equals their c3 attribute count.
 	cost.UniqueIDs = len(counters)
 	var out []uint64
 	for key, n := range counters {
-		if i, ok := sm.ids[key]; ok && n == int(sm.targets[i]) {
+		if n == int(sm.targets[sm.ids[key]]) {
 			out = append(out, key)
 		}
 	}
@@ -428,6 +442,7 @@ func (sm *Summary) Merge(other *Summary) error {
 	if !sm.schema.Equal(other.schema) {
 		return fmt.Errorf("summary: merging across different schemas")
 	}
+	sm.gen++
 	// Both sides must be row-clean: other's rows are about to be copied
 	// (tombstoned rows must not resurrect), and other's keys may re-enter
 	// sm's registry (stale sm rows must not over-count them).

@@ -170,13 +170,16 @@ func NewSummary(s *Schema, mode SummaryMode) *Summary { return summary.New(s, mo
 
 // Allocation-free matching (Algorithm 1 hot path).
 type (
-	// Matcher runs Algorithm 1 against one summary with reusable scratch
-	// state — zero steady-state allocations per matched event. Create one
-	// with Summary.NewMatcher; a matcher is single-threaded, but any
-	// number may run concurrently against the same summary.
+	// Matcher runs Algorithm 1 against a compiled copy of one summary
+	// with reusable scratch state — zero steady-state allocations per
+	// matched event. Create one with Summary.NewMatcher, which compiles
+	// the summary; the first match after the summary is mutated
+	// recompiles. A matcher is single-threaded, but any number may run
+	// concurrently against the same summary while it is not mutated.
 	Matcher = summary.Matcher
 	// MatcherPool pools matchers bound to one summary for concurrent
-	// event sweeps.
+	// event sweeps; the pool compiles the summary once and its matchers
+	// share the result.
 	MatcherPool = summary.MatcherPool
 	// MatchCost reports the Section 5.2.4 operation counts (T1/T2 terms)
 	// of one Algorithm 1 run.
